@@ -45,7 +45,7 @@ func timedCalls(n int, call func(i int)) (median time.Duration, allocs float64) 
 // httptest.ResponseRecorder, and the typed client over loopback HTTP, whose
 // cost beyond the handler is the transport's. reqs supplies the completion
 // vertex sets of the requests the load generator sent.
-func probeServing(r *report, host http.Handler, ns *serveclient.NamespaceClient, hc *http.Client, url string, snap *serve.Snapshot, reqs []readReq) {
+func probeServing(r *report, host http.Handler, ns *serveclient.NamespaceClient, snap *serve.Snapshot, reqs []readReq) {
 	var creqs []serve.CompleteRequest
 	for _, q := range reqs {
 		if q.complete {
@@ -115,8 +115,11 @@ func probeServing(r *report, host http.Handler, ns *serveclient.NamespaceClient,
 	})
 	r.set("serveclient.transport_us.complete", float64((cComplete-hComplete).Nanoseconds())/1e3, "us")
 	r.set("serveclient.allocs.complete", aClient-aComplete, "count")
+}
 
-	var sc2 sample
+// probeScrape times twenty GET /metrics scrapes of an idle host.
+func probeScrape(r *report, hc *http.Client, url string) {
+	var sc sample
 	for i := 0; i < 20; i++ {
 		r.attempt("probe", 1)
 		d, err := scrape(hc, url)
@@ -124,7 +127,7 @@ func probeServing(r *report, host http.Handler, ns *serveclient.NamespaceClient,
 			r.fail("probe", "scrape: %v", err)
 			continue
 		}
-		sc2.addDur(d)
+		sc.addDur(d)
 	}
-	r.set("obs.scrape_ms", sc2.median(), "ms")
+	r.set("obs.scrape_ms", sc.median(), "ms")
 }

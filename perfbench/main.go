@@ -1,8 +1,9 @@
 // Command perfbench is the repository's benchmark. It runs one of three
 // workloads against the CSPM library and serving fleet in a single process,
-// checks that every output is correct, and prints the workload's end-to-end
-// metrics (or, with -trace 1, its per-layer metrics) as the last line of
-// standard output:
+// checks that every output is correct, and prints the end-to-end metrics
+// (or, with -trace 1, the per-layer metrics) as the last line of standard
+// output. Every workload prints the same metrics, the ones BENCHMARK.json
+// declares; what else it measures goes to a "# metrics" diagnostic line:
 //
 //	perfbench --workload mine-cold --seed 1 --seconds 25 --trace 0
 //
@@ -48,6 +49,28 @@ type config struct {
 	outDir   string // where traced runs write their span files
 	clock    *stealClock
 }
+
+// endToEnd and perLayer are the metrics BENCHMARK.json declares, in its
+// order. Every workload prints all of endToEnd with --trace 0 and all of
+// perLayer with --trace 1. primary_ms and secondary_ms are the medians of
+// the workload's two gated operations, net of steal:
+//
+//	mine-cold    one cold mining pass      MineSharded on the islands alone
+//	serve-read   a completion request      a pattern page (nominal step)
+//	serve-write  batch visible on leader   batch visible on the replica
+var (
+	endToEnd = []string{"setup_s", "heap_mb", "primary_ms.p50", "secondary_ms.p50"}
+	perLayer = []string{
+		"intset.icd_ns", "invdb.build_ms", "invdb.evalmerge_ns",
+		"cspm.gain_evals", "cspm.merges", "cspm.merges_per_keval",
+		"cspm.stage.fingerprint_ms", "cspm.stage.diff_ms", "cspm.stage.shard_mine_ms", "cspm.stage.merge_ms",
+		"completion.score_us_per_vertex", "completion.patterns_scanned",
+		"serve.handler_us.complete", "serve.handler_us.patterns",
+		"serve.handler_allocs.complete", "serve.handler_allocs.patterns",
+		"serveclient.transport_us.complete", "serveclient.allocs.complete",
+		"obs.scrape_ms",
+	}
+)
 
 // metric is one reported value with its unit.
 type metric struct {
@@ -115,8 +138,25 @@ func (r *report) refuse(op string) {
 	r.mu.Unlock()
 }
 
-func (r *report) result() result {
-	res := result{Metrics: r.metrics}
+// result splits the metrics: the declared ones go on the result line, the
+// rest are returned as diagnostics. A declared metric the run did not
+// measure is an error, since a result line without it breaks the contract.
+func (r *report) result(declared []string) (result, map[string]metric, error) {
+	res := result{Metrics: map[string]metric{}}
+	extra := map[string]metric{}
+	for name, m := range r.metrics {
+		extra[name] = m
+	}
+	var missing []string
+	for _, name := range declared {
+		m, ok := extra[name]
+		if !ok {
+			missing = append(missing, name)
+			continue
+		}
+		res.Metrics[name] = m
+		delete(extra, name)
+	}
 	for _, n := range r.attempted {
 		res.Attempted += n
 	}
@@ -127,7 +167,10 @@ func (r *report) result() result {
 		res.Failed += n
 	}
 	res.Correct = res.Failed == 0 && res.Attempted > 0
-	return res
+	if len(missing) > 0 {
+		return res, extra, fmt.Errorf("metrics not measured: %s", strings.Join(missing, ", "))
+	}
+	return res, extra, nil
 }
 
 // diag prints one diagnostic line: a label and a JSON value.
@@ -184,7 +227,17 @@ func main() {
 	for _, n := range r.notes {
 		fmt.Printf("# failure %s\n", n)
 	}
-	out, err := json.Marshal(r.result())
+	declared := endToEnd
+	if cfg.trace {
+		declared = perLayer
+	}
+	res, extra, err := r.result(declared)
+	diag("metrics", extra)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "perfbench: %s: %v\n", cfg.workload, err)
+		os.Exit(1)
+	}
+	out, err := json.Marshal(res)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
 		os.Exit(1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"time"
 
@@ -48,7 +49,7 @@ func setupMine(seed int64) (*mineFixture, error) {
 // description lengths and search counters.
 type passResult struct {
 	traced                   bool
-	start, end               time.Time
+	start, t1, t2, end       time.Time // pass start, end of each mine
 	usfMS, shardedMS, distMS float64
 	finalDL, baselineDL      float64
 	gainEvals, merges        int
@@ -95,7 +96,7 @@ func minePass(fx *mineFixture, r *report, tr *tracer, trace uint64) passResult {
 		check("islands distributed", m3, fx.refIsl)
 		pass.remoteJobs, pass.retries = m3.RemoteJobs, m3.RemoteRetries
 	}
-	pass.traced, pass.start, pass.end = tr != nil, t0, t3
+	pass.traced, pass.start, pass.t1, pass.t2, pass.end = tr != nil, t0, t1, t2, t3
 	pass.usfMS, pass.shardedMS, pass.distMS = ms(t1.Sub(t0)), ms(t2.Sub(t1)), ms(t3.Sub(t2))
 	return pass
 }
@@ -128,17 +129,23 @@ func runMineCold(cfg config, r *report) error {
 	defer fx.pool.close()
 	if !cfg.trace {
 		passes := passLoop(fx, r, nil, cfg.seconds, 3)
-		var pass, wall sample
+		var pass, sharded, wall sample
 		var final, base float64
+		var mines [][3]float64
 		for _, p := range passes {
 			pass.add(cfg.clock.net(p.start, p.end).Seconds())
+			sharded.addDur(cfg.clock.net(p.t1, p.t2))
 			wall.add(p.end.Sub(p.start).Seconds())
+			mines = append(mines, [3]float64{p.usfMS, p.shardedMS, p.distMS})
 			final += p.finalDL
 			base += p.baselineDL
 		}
-		diag("passes_s", map[string]any{"wall": wall.vals, "net_of_steal": pass.vals})
+		diag("passes_s", map[string]any{"wall": wall.vals, "net_of_steal": pass.vals,
+			"wall_ms_usflight_sharded_distributed": mines})
 		r.set("setup_s", setupS, "s")
 		r.set("heap_mb", heapMB(), "MB")
+		r.set("primary_ms.p50", 1000*pass.median(), "ms")
+		r.set("secondary_ms.p50", sharded.median(), "ms")
 		r.set("mine_s", pass.median(), "s")
 		r.set("compression_pct", 100*final/base, "%")
 		return nil
@@ -168,18 +175,35 @@ func runMineCold(cfg config, r *report) error {
 	r.set("cspm.mine_ms.usflight", usf.median(), "ms")
 	r.set("cspm.mine_ms.islands_sharded", sh.median(), "ms")
 	r.set("cspm.mine_ms.islands_distributed", dist.median(), "ms")
-	r.set("cspm.gain_evals", evals.median(), "count")
-	r.set("cspm.merges", merges.median(), "count")
-	r.set("cspm.merges_per_keval", 1000*merges.median()/evals.median(), "count")
+	setSearchCounters(r, evals.median(), merges.median())
 	r.set("shardrpc.overhead_ms", dist.median()-sh.median(), "ms")
 	r.set("shardrpc.jobs", float64(last.remoteJobs), "count")
 	r.set("shardrpc.retries", float64(last.retries), "count")
 
-	// Stage split of a cold cached mine of the same graph, through the
-	// public observer.
+	probeStages(r, fx.isl, fx.refIsl)
+	probeKernels(r, fx.usf, fx.isl)
+
+	// The serving layers, on a memory-only host holding the islands model
+	// the pass mines, with seeded query vertices.
+	rfx, err := setupRead(nil)
+	if err != nil {
+		return err
+	}
+	defer rfx.close()
+	rng := rand.New(rand.NewSource(cfg.seed))
+	st := buildReadSteps(rng, ladder[:1], []int{2 * probeReps}, rfx.snap.Graph.NumVertices())[0]
+	rfx.warm(r, st.reqs)
+	probeServing(r, rfx.host, rfx.ns, rfx.snap, st.reqs)
+	probeScrape(r, rfx.hc, rfx.http.url)
+	return nil
+}
+
+// probeStages reports the stage split of three cold cached mines of g
+// through the public observer, checking each model against ref.
+func probeStages(r *report, g *graph.Graph, ref []byte) {
 	stages := map[string]*sample{}
 	for i := 0; i < 3; i++ {
-		m := icspm.MineShardedCachedObserved(fx.isl, icspm.Options{Shards: 4, CollectStats: true}, nil,
+		m := icspm.MineShardedCachedObserved(g, icspm.Options{Shards: 4, CollectStats: true}, nil,
 			func(stage string, d time.Duration) {
 				if stages[stage] == nil {
 					stages[stage] = &sample{}
@@ -187,13 +211,19 @@ func runMineCold(cfg config, r *report) error {
 				stages[stage].addDur(d)
 			})
 		r.attempt("mine", 1)
-		if got, err := modelJSON(m); err != nil || !bytes.Equal(got, fx.refIsl) {
-			r.fail("mine", "observed cached mine differs from cspm.Mine's")
+		if got, err := modelJSON(m); err != nil || !bytes.Equal(got, ref) {
+			r.fail("mine", "observed cached mine differs from the reference model")
 		}
 	}
 	setStages(r, stages)
-	probeKernels(r, fx.usf, fx.isl)
-	return nil
+}
+
+// setSearchCounters reports the search's work: gain evaluations, accepted
+// merges, and merges per thousand evaluations.
+func setSearchCounters(r *report, evals, merges float64) {
+	r.set("cspm.gain_evals", evals, "count")
+	r.set("cspm.merges", merges, "count")
+	r.set("cspm.merges_per_keval", 1000*merges/evals, "count")
 }
 
 // setStages reports the cached miner's stage medians.

@@ -323,7 +323,15 @@ func runServeRead(cfg config, r *report) error {
 			"complete": wallSample(run.cTimes).median(), "patterns": wallSample(run.pTimes).median(),
 		})
 		setTail(r, "loadgen.late_ms", &run.load.late, 0.99)
-		probeServing(r, fx.host, fx.ns, fx.hc, fx.http.url, fx.snap, st.reqs)
+		probeServing(r, fx.host, fx.ns, fx.snap, st.reqs)
+		probeScrape(r, fx.hc, fx.http.url)
+		m := fx.snap.Model
+		setSearchCounters(r, float64(m.GainEvals), float64(m.Iterations))
+		ref, err := modelJSON(m)
+		if err != nil {
+			return err
+		}
+		probeStages(r, fx.snap.Graph, ref)
 		probeKernels(r, usflightGraph(cfg.seed), fx.snap.Graph)
 		return nil
 	}
@@ -365,6 +373,8 @@ func runServeRead(cfg config, r *report) error {
 	fx.checkCompletions(r, runs)
 	r.set("setup_s", setupS, "s")
 	r.set("heap_mb", heapMB(), "MB")
+	r.set("primary_ms.p50", nomC.median(), "ms")
+	r.set("secondary_ms.p50", nomP.median(), "ms")
 	r.set("complete_ms.p50", nomC.median(), "ms")
 	setTail(r, "complete_ms", nomC, gatedTailQ)
 	r.set("patterns_ms.p50", nomP.median(), "ms")

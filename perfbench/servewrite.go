@@ -507,6 +507,8 @@ func runServeWrite(cfg config, r *report) error {
 		// third from run to run on the reference box; one batch a second
 		// leaves too few batches for any tail with ten samples beyond it. So
 		// serve-write reports medians only.
+		r.set("primary_ms.p50", vis.median(), "ms")
+		r.set("secondary_ms.p50", rvis.median(), "ms")
 		r.set("complete_ms.p50", reads.median(), "ms")
 		r.set("ack_ms.p50", ack.median(), "ms")
 		r.set("visible_ms.p50", vis.median(), "ms")
@@ -519,13 +521,14 @@ func runServeWrite(cfg config, r *report) error {
 	if run == nil {
 		return fmt.Errorf("serve-write window failed")
 	}
-	return fx.reportWriteLayers(cfg, r, tr, run)
+	return fx.reportWriteLayers(cfg, r, tr, run, reads)
 }
 
 // reportWriteLayers turns the window's stamps, re-mine profiles and
 // generation observations into spans (for the traced batches) and
-// per-layer metrics (over every batch).
-func (fx *writeFixture) reportWriteLayers(cfg config, r *report, tr *tracer, run *writeRun) error {
+// per-layer metrics (over every batch), then probes the serving layers with
+// the window's read requests.
+func (fx *writeFixture) reportWriteLayers(cfg config, r *report, tr *tracer, run *writeRun, reads []readReq) error {
 	ctx := context.Background()
 	lNS, rNS := fx.ctlNS, fx.repNS
 	var walMS, queueMS, runMS, pubMS, ckptMS, lagMS, verifyMS sample
@@ -624,9 +627,18 @@ func (fx *writeFixture) reportWriteLayers(cfg config, r *report, tr *tracer, run
 	} else {
 		r.fail("trace", "leader metrics: %v", err)
 	}
+	// The 1 Hz scrapes ran beside the writes and reads; the probes below run
+	// on the leader once it is idle, on its final generation.
 	r.set("obs.scrape_ms", run.scrapes.median(), "ms")
 	setTail(r, "loadgen.late_ms", &run.late, 0.99)
-	probeKernels(r, usflightGraph(cfg.seed), fx.g)
+	srv, ok := fx.leader.Tenant(benchNS)
+	if !ok {
+		return fmt.Errorf("leader has no %s tenant", benchNS)
+	}
+	snap := srv.Snapshot()
+	setSearchCounters(r, float64(snap.Model.GainEvals), float64(snap.Model.Iterations))
+	probeServing(r, fx.leader, fx.ctlNS, snap, reads)
+	probeKernels(r, usflightGraph(cfg.seed), snap.Graph)
 	return nil
 }
 

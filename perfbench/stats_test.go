@@ -1,8 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -225,5 +229,48 @@ func TestEvenOffsetsStayInTheirSlot(t *testing.T) {
 		if o < lo || o > hi {
 			t.Fatalf("arrival %d at %v outside [%v, %v]", i, o, lo, hi)
 		}
+	}
+}
+
+// The metrics the benchmark prints must be exactly the ones BENCHMARK.json
+// declares, in both modes and in its order.
+func TestDeclaredMetricsMatchManifest(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("..", "BENCHMARK.json"))
+	if err != nil {
+		t.Skipf("no manifest beside the benchmark: %v", err)
+	}
+	var man struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(b, &man); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		kind     string
+		declared []struct{ Name string }
+		code     []string
+	}{{"end_to_end", man.EndToEnd, endToEnd}, {"per_layer", man.PerLayer, perLayer}} {
+		var names []string
+		for _, m := range c.declared {
+			names = append(names, m.Name)
+		}
+		if !slices.Equal(names, c.code) {
+			t.Errorf("%s: manifest %v, code %v", c.kind, names, c.code)
+		}
+	}
+}
+
+func TestResultRequiresEveryDeclaredMetric(t *testing.T) {
+	r := newReport()
+	r.attempt("op", 1)
+	r.set("a", 1, "ms")
+	r.set("extra", 2, "ms")
+	res, extra, err := r.result([]string{"a"})
+	if err != nil || len(res.Metrics) != 1 || len(extra) != 1 || !res.Correct {
+		t.Fatalf("result %+v, extra %v, err %v", res, extra, err)
+	}
+	if _, _, err := r.result([]string{"a", "b"}); err == nil {
+		t.Fatal("a missing declared metric must be an error")
 	}
 }
