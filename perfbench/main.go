@@ -140,7 +140,7 @@ func (r *report) refuse(op string) {
 
 // result splits the metrics: the declared ones go on the result line, the
 // rest are returned as diagnostics. A declared metric the run did not
-// measure is an error, since a result line without it breaks the contract.
+// measure is an error: the result line must carry every declared metric.
 func (r *report) result(declared []string) (result, map[string]metric, error) {
 	res := result{Metrics: map[string]metric{}}
 	extra := map[string]metric{}
