@@ -2,6 +2,7 @@ package completion
 
 import (
 	"math"
+	"sync"
 
 	"cspm/internal/cspm"
 	"cspm/internal/graph"
@@ -12,64 +13,158 @@ import (
 // using a mined a-star model (paper Algorithm 5): a core value whose a-star
 // leafset resembles the vertex's neighbour attributes — and whose code is
 // short — is a likely missing value.
+//
+// NewScorer indexes the model once so that ScoreNode visits only the a-stars
+// whose leafsets share a value with v's neighbours. An a-star no neighbour
+// value touches has similarity 0 and scores −2·CodeLen on each of its cores;
+// the per-core maximum of those terms is precomputed as the floor. Since
+// w ≤ 2, that term never exceeds the a-star's score when CodeLen ≥ 0, so
+// every score is max(floor, touched a-stars' scores), which equals the full
+// scan of Algorithm 5 bit for bit because max does not depend on order. The
+// rare a-star with a negative CodeLen (never produced by mining) stays out of
+// the floor and is scored on every call.
+//
+// A Scorer is safe for concurrent use: ScoreNode keeps its per-call state in
+// pooled scratch buffers.
 type Scorer struct {
 	model *cspm.Model
 	g     *graph.Graph
+	// postings[postPtr[a]:postPtr[a+1]] lists the a-stars (indexes into
+	// model.Patterns) whose leafset contains value a, once per occurrence.
+	postPtr  []int32
+	postings []int32
+	// floor[c] is max over the a-stars with core c and CodeLen ≥ 0 of
+	// −2·CodeLen, or −Inf; negative lists the a-stars with CodeLen < 0.
+	floor    []float64
+	negative []int32
+}
+
+// scratchPool holds ScoreNode working state. It is shared by all scorers, not
+// kept per Scorer, so that a pooled buffer never keeps a retired snapshot's
+// index reachable; a buffer grows to the largest model it has scored.
+var scratchPool = sync.Pool{New: func() any { return new(scoreScratch) }}
+
+// scoreScratch is one ScoreNode call's working state. seen and visited are
+// all zero between calls: each call clears exactly the entries it set.
+type scoreScratch struct {
+	seen    []bool // attribute values already collected around v
+	vals    []graph.AttrID
+	visited []uint64 // a-stars already queued, one bit each
+	touched []int32
 }
 
 // NewScorer builds a scorer from a model mined on (a training view of) g.
+// Graphs are immutable, so the index built here stays valid for the
+// scorer's lifetime.
 func NewScorer(model *cspm.Model, g *graph.Graph) *Scorer {
-	return &Scorer{model: model, g: g}
-}
-
-// neighborAttrs collects the attribute-value set visible around v.
-func (s *Scorer) neighborAttrs(v graph.VertexID) map[graph.AttrID]struct{} {
-	out := make(map[graph.AttrID]struct{})
-	for _, u := range s.g.Neighbors(v) {
-		for _, a := range s.g.Attrs(u) {
-			out[a] = struct{}{}
+	nA := g.NumAttrValues()
+	s := &Scorer{model: model, g: g, postPtr: make([]int32, nA+1), floor: make([]float64, nA)}
+	for i := range s.floor {
+		s.floor[i] = math.Inf(-1)
+	}
+	for i, p := range model.Patterns {
+		for _, a := range p.LeafValues {
+			if inVocab(a, nA) {
+				s.postPtr[a+1]++
+			}
 		}
-	}
-	return out
-}
-
-// similarity is the weight w of Algorithm 5: how well the a-star's leafset
-// matches the neighbours' values. We use the Jaccard-style overlap
-// |SL ∩ N| / |SL|, inverted into a weight where a worse match means a larger
-// w and hence a smaller (more negative) score.
-func similarity(leaf []graph.AttrID, neighbors map[graph.AttrID]struct{}) float64 {
-	if len(leaf) == 0 {
-		return 0
-	}
-	hit := 0
-	for _, a := range leaf {
-		if _, ok := neighbors[a]; ok {
-			hit++
+		if p.CodeLen < 0 {
+			s.negative = append(s.negative, int32(i))
+			continue
 		}
-	}
-	return float64(hit) / float64(len(leaf))
-}
-
-// ScoreNode returns a score per attribute value for vertex v: higher is more
-// likely. Values never seen in any a-star keep −Inf (Algorithm 5 line 1).
-func (s *Scorer) ScoreNode(v graph.VertexID) []float64 {
-	nA := s.g.NumAttrValues()
-	scores := make([]float64, nA)
-	for i := range scores {
-		scores[i] = math.Inf(-1)
-	}
-	neighbors := s.neighborAttrs(v)
-	for _, p := range s.model.Patterns {
-		match := similarity(p.LeafValues, neighbors)
-		// Algorithm 5 line 5–6: w grows as similarity falls; cl = −w·L(S).
-		w := 2 - match
-		cl := -w * p.CodeLen
+		cl := -2 * p.CodeLen // the zero-hit score: similarity 0, so w = 2
 		for _, cv := range p.CoreValues {
-			if cl > scores[cv] {
-				scores[cv] = cl
+			if inVocab(cv, nA) && cl > s.floor[cv] {
+				s.floor[cv] = cl
 			}
 		}
 	}
+	for a := 0; a < nA; a++ {
+		s.postPtr[a+1] += s.postPtr[a]
+	}
+	s.postings = make([]int32, s.postPtr[nA])
+	fill := append([]int32(nil), s.postPtr[:nA]...)
+	for i, p := range model.Patterns {
+		for _, a := range p.LeafValues {
+			if inVocab(a, nA) {
+				s.postings[fill[a]] = int32(i)
+				fill[a]++
+			}
+		}
+	}
+	return s
+}
+
+// inVocab reports whether a is a value id of a graph with nA values. Model
+// values outside the vocabulary never match a neighbour value, and a core
+// outside it has no score to update.
+func inVocab(a graph.AttrID, nA int) bool { return a >= 0 && int(a) < nA }
+
+// similarityOf is Algorithm 5's match between an a-star's leafset and the
+// neighbours' values: the overlap |SL ∩ N| / |SL| (0 for an empty leafset),
+// inverted by the caller into a weight where a worse match means a larger w
+// and hence a smaller (more negative) score.
+func similarityOf(hit, leafLen int) float64 {
+	if leafLen == 0 {
+		return 0
+	}
+	return float64(hit) / float64(leafLen)
+}
+
+// ScoreNode returns a score per attribute value for vertex v: higher is more
+// likely. Values never seen as a core keep −Inf (Algorithm 5 line 1).
+func (s *Scorer) ScoreNode(v graph.VertexID) []float64 {
+	scores := make([]float64, len(s.floor))
+	copy(scores, s.floor)
+	sc := scratchPool.Get().(*scoreScratch)
+	if len(sc.seen) < len(s.floor) {
+		sc.seen = make([]bool, len(s.floor))
+	}
+	if n := (len(s.model.Patterns) + 63) / 64; len(sc.visited) < n {
+		sc.visited = make([]uint64, n)
+	}
+
+	sc.vals = sc.vals[:0]
+	for _, u := range s.g.Neighbors(v) {
+		for _, a := range s.g.Attrs(u) {
+			if !sc.seen[a] {
+				sc.seen[a] = true
+				sc.vals = append(sc.vals, a)
+			}
+		}
+	}
+	sc.touched = sc.touched[:0]
+	for _, a := range sc.vals {
+		for _, p := range s.postings[s.postPtr[a]:s.postPtr[a+1]] {
+			sc.visit(p)
+		}
+	}
+	for _, p := range s.negative {
+		sc.visit(p)
+	}
+	nA := len(s.floor)
+	for _, i := range sc.touched {
+		p := &s.model.Patterns[i]
+		hit := 0
+		for _, a := range p.LeafValues {
+			if inVocab(a, nA) && sc.seen[a] {
+				hit++
+			}
+		}
+		// Algorithm 5 line 5–6: w grows as similarity falls; cl = −w·L(S).
+		w := 2 - similarityOf(hit, len(p.LeafValues))
+		cl := -w * p.CodeLen
+		for _, cv := range p.CoreValues {
+			if inVocab(cv, nA) && cl > scores[cv] {
+				scores[cv] = cl
+			}
+		}
+		sc.visited[i>>6] &^= 1 << (i & 63)
+	}
+	for _, a := range sc.vals {
+		sc.seen[a] = false
+	}
+	scratchPool.Put(sc)
 	return scores
 }
 
@@ -150,4 +245,13 @@ func normalizeRow(row []float64) []float64 {
 		}
 	}
 	return out
+}
+
+// visit queues a-star p unless this call already has.
+func (sc *scoreScratch) visit(p int32) {
+	w, m := p>>6, uint64(1)<<(p&63)
+	if sc.visited[w]&m == 0 {
+		sc.visited[w] |= m
+		sc.touched = append(sc.touched, p)
+	}
 }

@@ -225,7 +225,13 @@ type Snapshot struct {
 	Graph *graph.Graph
 	// Model is the mined model, bit-identical to Mine(Graph).
 	Model *icspm.Model
-	// Scorer ranks candidate attribute values with Model (Algorithm 5).
+	// Scorer ranks candidate attribute values with Model (Algorithm 5). It
+	// is built at publish with a leaf-value index (postings from each leaf
+	// value to its a-stars, plus a per-core floor of max −2·CodeLen), so a
+	// completion visits only the a-stars its neighbours' values touch and
+	// still scores bit-identically to a scan of the whole model. On the
+	// BenchIslands model the index costs ≈2–3 ms and ≈0.4 MB per publish.
+	// One Scorer serves every concurrent request on the snapshot.
 	Scorer *completion.Scorer
 	// MultiLeaf is Model.MultiLeaf() computed once at publish, so the
 	// multileaf pattern page and its count cost the read path nothing.
