@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cspm/internal/graph"
-	"cspm/internal/invdb"
 	"cspm/internal/mdl"
 	"cspm/internal/shardcache"
 )
@@ -125,10 +124,7 @@ func MineShardedCachedObserved(g *graph.Graph, opts Options, cache *shardcache.C
 		runShards(g, st, runOpts, shards, k)
 		for i, gi := range dirty {
 			sh := shards[i]
-			e := &shardcache.Entry{
-				Init: sh.init, Final: sh.final,
-				Iterations: sh.stats.iterations, GainEvals: sh.stats.gainEvals,
-			}
+			e := newEntry(sh.init, sh.final, sh.stats)
 			// A failed disk write only loses persistence (the in-memory copy
 			// is already stored); mining correctness is unaffected.
 			_ = cache.Put(shardcache.Key{Component: fps[gi], Global: global, Search: search}, e)
@@ -159,62 +155,6 @@ func MineShardedCachedObserved(g *graph.Graph, opts Options, cache *shardcache.C
 	mergeEntryStats(m, st, entries)
 	observe.observe("merge", t)
 	return m
-}
-
-// mergeEntryStats folds one entry per component group into m: canonical
-// baseline/final DLs, conditional entropy and the pattern list, all pure
-// functions of the per-group line multisets. This is the exact-merge tail
-// shared by the cached and distributed miners — it cannot tell (and need
-// not know) whether an entry came from a fresh local run, a cache replay,
-// or a remote worker's blob.
-func mergeEntryStats(m *Model, st *mdl.StandardTable, entries []*shardcache.Entry) {
-	var init, final []invdb.LineStat
-	for _, e := range entries {
-		init = append(init, e.Init...)
-		final = append(final, e.Final...)
-	}
-	coreCode := func(c invdb.CoresetID) float64 { return st.Len(graph.AttrID(c)) }
-	bd, bm := invdb.CanonicalDL(st, coreCode, init)
-	m.BaselineDL = bd + bm
-	fd, fm, cond := invdb.CanonicalSummary(st, coreCode, final)
-	m.FinalDL = fd + fm
-	m.CondEntropy = cond
-	m.Patterns = patternsFromStats(st, final)
-	sortPatterns(m.Patterns)
-}
-
-// patternsFromStats derives the a-star pattern list from a final line
-// multiset — the cache-replay twin of extractPatterns. Under single-value
-// coresets every AStar field is a pure function of the stats: FC is the sum
-// of the core's line frequencies, the core code length is the standard-table
-// length of its one value, and the conditional code length follows from
-// (fL, fc) — so replayed and freshly mined groups produce identical
-// patterns, bit for bit.
-func patternsFromStats(st *mdl.StandardTable, stats []invdb.LineStat) []AStar {
-	norm := invdb.NormalizeLineStats(stats)
-	out := make([]AStar, 0, len(norm))
-	for i := 0; i < len(norm); {
-		c := norm[i].Core
-		j, fc := i, 0
-		for ; j < len(norm) && norm[j].Core == c; j++ {
-			fc += norm[j].FL
-		}
-		coreLen := st.SetLen([]graph.AttrID{graph.AttrID(c)})
-		for k := i; k < j; k++ {
-			out = append(out, AStar{
-				CoreValues: []graph.AttrID{graph.AttrID(c)},
-				// Copied, not aliased: on a cache hit norm[k].Leaf points into
-				// the long-lived cached entry, and patterns carry no read-only
-				// contract — an aliasing caller would corrupt the cache.
-				LeafValues: append([]graph.AttrID(nil), norm[k].Leaf...),
-				FL:         norm[k].FL,
-				FC:         fc,
-				CodeLen:    coreLen + mdl.CondCodeLen(norm[k].FL, fc),
-			})
-		}
-		i = j
-	}
-	return out
 }
 
 // Miner bundles mining options with a shard-result cache for repeated runs

@@ -122,10 +122,7 @@ func ExecuteShardJob(job shardrpc.Job) (*shardcache.Entry, error) {
 	default:
 		minePartial(db, opts, stats)
 	}
-	return &shardcache.Entry{
-		Init: init, Final: db.AppendLineStats(nil),
-		Iterations: stats.iterations, GainEvals: stats.gainEvals,
-	}, nil
+	return newEntry(init, db.AppendLineStats(nil), stats), nil
 }
 
 // buildShardJob remaps one component group into a self-contained shard job:
@@ -445,10 +442,7 @@ func mineFallback(g *graph.Graph, st *mdl.StandardTable, opts Options, failed []
 	runShards(g, st, runOpts, shards, k)
 	for i, f := range failed {
 		sh := shards[i]
-		entries[f.Group] = &shardcache.Entry{
-			Init: sh.init, Final: sh.final,
-			Iterations: sh.stats.iterations, GainEvals: sh.stats.gainEvals,
-		}
+		entries[f.Group] = newEntry(sh.init, sh.final, sh.stats)
 	}
 	m.LocalFallbacks = len(failed)
 }

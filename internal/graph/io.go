@@ -21,6 +21,15 @@ import (
 
 // Load parses the text format from r.
 func Load(r io.Reader) (*Graph, error) {
+	return LoadWithVocab(r, nil)
+}
+
+// LoadWithVocab parses the text format from r into a graph whose vocabulary
+// interns the names of vocab first, in that order — also names no vertex
+// carries any more — and then any other value in order of appearance. A
+// graph written by Write and loaded back with its own Vocab().Names()
+// therefore gets every attribute value's original id.
+func LoadWithVocab(r io.Reader, vocab []string) (*Graph, error) {
 	type edge struct{ u, v uint64 }
 	type vattr struct {
 		v    uint64
@@ -83,10 +92,14 @@ func Load(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: reading input: %w", err)
 	}
-	if !anyRow {
-		return NewBuilder(0).Build(), nil
+	n := 0
+	if anyRow {
+		n = int(maxID) + 1
 	}
-	b := NewBuilder(int(maxID) + 1)
+	b := NewBuilder(n)
+	for _, name := range vocab {
+		b.vocab.ID(name)
+	}
 	for _, va := range vattrs {
 		for _, val := range va.vals {
 			if err := b.AddAttr(VertexID(va.v), val); err != nil {

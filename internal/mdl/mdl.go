@@ -32,6 +32,23 @@ func XLogX(x float64) float64 {
 	return x * math.Log2(x)
 }
 
+// xlogxInts tabulates XLogX over the small integers line and core
+// frequencies mostly are.
+var xlogxInts = func() (t [4096]float64) {
+	for i := range t {
+		t[i] = XLogX(float64(i))
+	}
+	return t
+}()
+
+// XLogXInt is XLogX(float64(n)), from a table for small n.
+func XLogXInt(n int) float64 {
+	if n >= 0 && n < len(xlogxInts) {
+		return xlogxInts[n]
+	}
+	return XLogX(float64(n))
+}
+
 // CodeLen returns the Shannon code length −log2(p) in bits for an event of
 // probability p. Probabilities outside (0, 1] yield +Inf, signalling an
 // unencodable event; callers treat that as "pattern cannot occur".
@@ -161,11 +178,18 @@ func CondEntropy(lines [][2]int) float64 {
 	}
 	h := 0.0
 	for _, ln := range lines {
-		fL, fc := float64(ln[0]), float64(ln[1])
-		if fL <= 0 || fc <= 0 {
-			continue
-		}
-		h -= (fL / float64(s)) * math.Log2(fL/fc)
+		h -= CondEntropyTerm(ln[0], ln[1], s)
 	}
 	return h
+}
+
+// CondEntropyTerm is one line's share of CondEntropy for total frequency s:
+// (fL/s)·log2(fL/fc), or 0 for a line without occurrences. Callers summing
+// the terms in a fixed line order reproduce CondEntropy bit for bit.
+func CondEntropyTerm(fL, fc, s int) float64 {
+	if fL <= 0 || fc <= 0 {
+		return 0
+	}
+	l, c := float64(fL), float64(fc)
+	return float64((l / float64(s)) * math.Log2(l/c))
 }

@@ -145,37 +145,11 @@ func sha256Hex(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// reintern rebuilds g so its vocabulary is interned in exactly the given
-// name order (then any value of g missing from order, which a consistent
-// checkpoint never has). Cache keys are content fingerprints over interned
-// ids, so recovering the checkpoint graph in its original interning order is
-// what makes the persisted blobs hit instead of silently going cold.
-func reintern(g *graph.Graph, order []string) *graph.Graph {
-	b := graph.NewBuilder(g.NumVertices())
-	vocab := b.Vocab()
-	for _, name := range order {
-		vocab.ID(name)
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, a := range g.Attrs(graph.VertexID(v)) {
-			// Vertices are in range by construction; AddAttr cannot fail.
-			_ = b.AddAttr(graph.VertexID(v), g.Vocab().Name(a))
-		}
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range g.Neighbors(graph.VertexID(v)) {
-			if graph.VertexID(v) < u {
-				_ = b.AddEdge(graph.VertexID(v), u)
-			}
-		}
-	}
-	return b.Build()
-}
-
 // loadCheckpointGraph reads and VERIFIES the checkpointed graph: its bytes
 // must hash to the manifest's commitment before they are parsed or trusted,
-// and the parsed graph is re-interned in the manifest's recorded vocabulary
-// order so cache fingerprints line up.
+// and they are parsed with the manifest's recorded vocabulary interned first,
+// in order, so attribute ids — and therefore cache fingerprints — are the
+// ones the blobs were written under.
 func loadCheckpointGraph(dir string, man *shardcache.Manifest) (*graph.Graph, error) {
 	data, err := os.ReadFile(filepath.Join(dir, checkpointGraphName))
 	if err != nil {
@@ -185,11 +159,11 @@ func loadCheckpointGraph(dir string, man *shardcache.Manifest) (*graph.Graph, er
 		return nil, fmt.Errorf("serve: checkpoint graph checksum %s does not match manifest %s",
 			got[:12], man.GraphSHA256[:12])
 	}
-	g, err := graph.Load(bytes.NewReader(data))
+	g, err := graph.LoadWithVocab(bytes.NewReader(data), man.Vocab)
 	if err != nil {
 		return nil, fmt.Errorf("serve: checkpoint graph: %w", err)
 	}
-	return reintern(g, man.Vocab), nil
+	return g, nil
 }
 
 // writeFileAtomicSync writes data as dir/name via fsync'd temp file + rename
@@ -377,13 +351,11 @@ func (s *Server) recoverStartup(g0 *graph.Graph) (*graph.Graph, uint64, error) {
 // deterministic, so any difference means the recovered cache replayed stale
 // or tampered entries that still fingerprint-matched. The degrade path
 // quarantines every blob, purges memory, and re-mines cold — correctness
-// over warmth.
-func (s *Server) verifyRecoveredModel(base *graph.Graph, model *icspm.Model) (*icspm.Model, error) {
-	if s.ckptModelSum == "" || s.rec.ReplayedBatches > 0 {
-		return model, nil
-	}
-	if modelChecksum(model) == s.ckptModelSum {
-		return model, nil
+// over warmth. It returns the model to serve with its digest.
+func (s *Server) verifyRecoveredModel(base *graph.Graph, model *icspm.Model) (*icspm.Model, string, error) {
+	sum := modelChecksum(model)
+	if s.ckptModelSum == "" || s.rec.ReplayedBatches > 0 || sum == s.ckptModelSum {
+		return model, sum, nil
 	}
 	s.rec.ModelMismatch = true
 	s.met.checksumMismatches.Add(1)
@@ -391,14 +363,14 @@ func (s *Server) verifyRecoveredModel(base *graph.Graph, model *icspm.Model) (*i
 	s.rec.QuarantinedBlobs += n
 	s.met.quarantinedBlobs.Add(uint64(n))
 	if qerr != nil {
-		return nil, qerr
+		return nil, "", qerr
 	}
 	s.cache.Purge()
 	remodel, merr := s.mine(base)
 	if merr != nil {
-		return nil, fmt.Errorf("serve: re-mine after checksum mismatch: %w", merr)
+		return nil, "", fmt.Errorf("serve: re-mine after checksum mismatch: %w", merr)
 	}
-	return remodel, nil
+	return remodel, modelChecksum(remodel), nil
 }
 
 // checkpoint commits the served state to PersistDir — folded graph, cache
@@ -428,7 +400,7 @@ func (s *Server) checkpoint(snap *Snapshot) error {
 		Generation:      snap.Generation,
 		FoldedBatches:   folded,
 		FoldedMutations: foldedMuts,
-		ModelSHA256:     modelChecksum(snap.Model),
+		ModelSHA256:     snap.ModelSHA256,
 		GraphSHA256:     sha256Hex(gb),
 		Vocab:           snap.Graph.Vocab().Names(),
 	}

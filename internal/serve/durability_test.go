@@ -659,7 +659,7 @@ func TestCrashMatrixCheckpointed(t *testing.T) {
 
 // TestCheckpointGraphRoundtripDeterministic pins the property the model
 // verification depends on: a graph serialised to checkpoint bytes, parsed
-// back, and re-interned in the recorded vocabulary order mines a model with
+// back with the recorded vocabulary order seeded mines a model with
 // the exact same commitment as the original. If this drifted, every clean
 // restart would false-positive as a checksum mismatch and re-mine cold.
 func TestCheckpointGraphRoundtripDeterministic(t *testing.T) {
@@ -668,11 +668,10 @@ func TestCheckpointGraphRoundtripDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := graph.Load(bytes.NewReader(gb))
+	g2, err := graph.LoadWithVocab(bytes.NewReader(gb), g.Vocab().Names())
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2 = reintern(g2, g.Vocab().Names())
 	a, b := icspm.Mine(g), icspm.Mine(g2)
 	if modelChecksum(a) != modelChecksum(b) {
 		t.Fatal("checkpoint graph roundtrip changed the model commitment")

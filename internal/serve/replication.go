@@ -494,9 +494,12 @@ func (s *Server) fetchVerified(path, name, wantSHA string, manRaw []byte) ([]byt
 		case <-t.C:
 		}
 	}
-	s.met.replicationVerifyFailures.Add(1)
 	qname := name + shardcache.QuarantineSuffix
-	if werr := writeFileAtomicSync(s.opts.PersistDir, qname, data); werr != nil {
+	werr := writeFileAtomicSync(s.opts.PersistDir, qname, data)
+	// Counted once the quarantine is on disk, so the metric never runs ahead
+	// of the evidence it reports.
+	s.met.replicationVerifyFailures.Add(1)
+	if werr != nil {
 		return nil, fmt.Errorf("serve: shipped %s failed verification (got %s, manifest %s); quarantine also failed: %v",
 			name, sha256Hex(data)[:12], wantSHA[:12], werr)
 	}
@@ -505,36 +508,50 @@ func (s *Server) fetchVerified(path, name, wantSHA string, manRaw []byte) ([]byt
 }
 
 // fetchAndInstall pulls the generation the leader's manifest commits to —
-// graph bytes and every cache blob — verifies each against the manifest in
-// memory, and only then installs: blobs first, GRAPH next, raw MANIFEST
-// last. The manifest write is the commit point exactly as on the leader, so
-// a crash mid-install leaves the previous checkpoint fully intact.
-func (s *Server) fetchAndInstall(manRaw []byte, man *shardcache.Manifest) error {
+// graph bytes and every cache blob whose local file does not already hash
+// to its manifest checksum — verifies each against the manifest in memory,
+// and only then installs: blobs first, GRAPH next, raw MANIFEST last. The
+// manifest write is the commit point exactly as on the leader, so a crash
+// mid-install leaves the previous checkpoint fully intact. It returns the
+// verified graph bytes and the names of the blobs it replaced.
+func (s *Server) fetchAndInstall(manRaw []byte, man *shardcache.Manifest) ([]byte, []string, error) {
 	gb, err := s.fetchVerified("/replication/graph", checkpointGraphName, man.GraphSHA256, manRaw)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	blobs := make(map[string][]byte, len(man.Blobs))
+	dir := s.opts.PersistDir
+	blobs := make(map[string][]byte)
 	for name, sum := range man.Blobs {
+		if localMatches(dir, name, sum) {
+			continue
+		}
 		b, err := s.fetchVerified("/replication/blob?name="+name, name, sum, manRaw)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		blobs[name] = b
 	}
-	dir := s.opts.PersistDir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return nil, nil, err
 	}
+	replaced := make([]string, 0, len(blobs))
 	for name, b := range blobs {
 		if err := writeFileAtomicSync(dir, name, b); err != nil {
-			return err
+			return nil, nil, err
 		}
+		replaced = append(replaced, name)
 	}
 	if err := writeFileAtomicSync(dir, checkpointGraphName, gb); err != nil {
-		return err
+		return nil, nil, err
 	}
-	return writeFileAtomicSync(dir, shardcache.ManifestName, manRaw)
+	return gb, replaced, writeFileAtomicSync(dir, shardcache.ManifestName, manRaw)
+}
+
+// localMatches reports whether dir/name exists and hashes to wantSHA, so a
+// replica re-uses only bytes that match the manifest it is installing.
+func localMatches(dir, name, wantSHA string) bool {
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	return err == nil && sha256Hex(data) == wantSHA
 }
 
 // followBootstrap runs before recoverStartup on a follower: it checks the
@@ -566,7 +583,7 @@ func (s *Server) followBootstrap() error {
 		return nil // restart with a current mirror: nothing to ship
 	}
 	for {
-		err := s.fetchAndInstall(manRaw, man)
+		_, _, err := s.fetchAndInstall(manRaw, man)
 		if err == nil {
 			return nil
 		}
@@ -725,10 +742,15 @@ func (s *Server) resetMirrorWAL() error {
 }
 
 // syncGeneration pulls the leader's latest committed checkpoint, verifies
-// every artifact against its manifest, installs it, re-mines the warm cache
-// over the verified graph, checks the mined model against the manifest's
-// commitment, and ONLY THEN swaps the served snapshot — at the leader's own
-// generation number, so the fleet's generations are comparable.
+// every artifact it lacks against its manifest, installs it, re-mines the
+// warm cache over the verified graph, checks the mined model against the
+// manifest's commitment, and ONLY THEN swaps the served snapshot — at the
+// leader's own generation number, so the fleet's generations are comparable.
+//
+// Work follows what the leader's batch changed: blobs whose local bytes
+// already match the manifest are neither fetched nor re-read, entries whose
+// blobs were replaced leave memory so the mine reads the verified bytes, and
+// after the mine memory holds exactly the entries it used.
 func (s *Server) syncGeneration() error {
 	manRaw, man, err := s.fetchLeaderManifest()
 	if err != nil {
@@ -738,24 +760,23 @@ func (s *Server) syncGeneration() error {
 	if man.Generation <= cur.Generation {
 		return nil // the publish we watched has not checkpointed yet; next cycle
 	}
-	if err := s.fetchAndInstall(manRaw, man); err != nil {
-		return err
-	}
-	gb, err := os.ReadFile(filepath.Join(s.opts.PersistDir, checkpointGraphName))
+	gb, replaced, err := s.fetchAndInstall(manRaw, man)
 	if err != nil {
 		return err
 	}
-	g, err := graph.Load(bytes.NewReader(gb))
+	g, err := graph.LoadWithVocab(bytes.NewReader(gb), man.Vocab)
 	if err != nil {
 		return fmt.Errorf("serve: shipped graph: %w", err)
 	}
-	g = reintern(g, man.Vocab)
-	// Drop resident entries so the mine reads the freshly installed blobs:
-	// fingerprints of unchanged components still hit, now from verified disk.
-	s.cache.Purge()
+	s.cache.EvictBlobs(replaced)
+	mark := s.cache.Mark()
 	s.opts.Budget.acquire()
 	model, err := s.mine(g)
-	if err == nil && modelChecksum(model) != man.ModelSHA256 {
+	var sum string
+	if err == nil {
+		sum = modelChecksum(model)
+	}
+	if err == nil && sum != man.ModelSHA256 {
 		// The verified graph + shipped blobs mined to something else: a blob
 		// replayed stale state that still fingerprint-matched. Same degrade
 		// path as local recovery — quarantine every blob, re-mine cold.
@@ -766,8 +787,10 @@ func (s *Server) syncGeneration() error {
 		if qerr == nil {
 			s.cache.Purge()
 			model, err = s.mine(g)
-			if err == nil && modelChecksum(model) != man.ModelSHA256 {
-				err = fmt.Errorf("serve: cold re-mine of shipped generation %d still diverges from the manifest commitment", man.Generation)
+			if err == nil {
+				if sum = modelChecksum(model); sum != man.ModelSHA256 {
+					err = fmt.Errorf("serve: cold re-mine of shipped generation %d still diverges from the manifest commitment", man.Generation)
+				}
 			}
 		} else {
 			err = qerr
@@ -777,6 +800,7 @@ func (s *Server) syncGeneration() error {
 	if err != nil {
 		return err
 	}
+	s.cache.EvictUnusedSince(mark)
 	s.mu.Lock()
 	prevFolded := s.foldedBatches
 	s.mu.Unlock()
@@ -784,7 +808,7 @@ func (s *Server) syncGeneration() error {
 	// verified against the leader's commitments; the swap below starts
 	// serving it.
 	s.traces.RecordRange(prevFolded, man.FoldedBatches, obs.StageVerified, man.Generation, "")
-	snap := newSnapshot(man.Generation, g, model)
+	snap := newSnapshot(man.Generation, g, model, sum)
 	s.snap.Store(snap)
 	s.met.replicationSyncs.Add(1)
 	s.mu.Lock()

@@ -244,14 +244,15 @@ type Snapshot struct {
 	ModelSHA256 string
 }
 
-// newSnapshot assembles one immutable serving state.
-func newSnapshot(gen uint64, g *graph.Graph, model *icspm.Model) *Snapshot {
+// newSnapshot assembles one immutable serving state; sum is the model's
+// modelChecksum, which callers that verified it already hold.
+func newSnapshot(gen uint64, g *graph.Graph, model *icspm.Model, sum string) *Snapshot {
 	return &Snapshot{
 		Generation: gen, Graph: g, Model: model,
 		Scorer:      completion.NewScorer(model, g),
 		MultiLeaf:   model.MultiLeaf(),
 		PublishedAt: time.Now(),
-		ModelSHA256: modelChecksum(model),
+		ModelSHA256: sum,
 	}
 }
 
@@ -390,12 +391,12 @@ func NewServer(g *graph.Graph, opts Options) (*Server, error) {
 		opts.Budget.release()
 		return nil, fmt.Errorf("serve: initial mine: %w", err)
 	}
-	model, err = s.verifyRecoveredModel(base, model)
+	model, sum, err := s.verifyRecoveredModel(base, model)
 	opts.Budget.release()
 	if err != nil {
 		return nil, err
 	}
-	snap := newSnapshot(gen, base, model)
+	snap := newSnapshot(gen, base, model, sum)
 	s.snap.Store(snap)
 	if s.wl != nil && opts.PersistDir != "" && opts.Follow == nil {
 		// Commit the recovered state immediately: replayed batches fold into
@@ -751,7 +752,7 @@ func (s *Server) remine() bool {
 	s.traces.RecordRange(prevTrace, coveredTrace, obs.StageFolded, cur.Generation+1, "")
 	var snap *Snapshot
 	rec.Time(obs.SpanPublish, func() {
-		snap = newSnapshot(cur.Generation+1, next, model)
+		snap = newSnapshot(cur.Generation+1, next, model, modelChecksum(model))
 		s.snap.Store(snap)
 	})
 	s.met.remines.Add(1)

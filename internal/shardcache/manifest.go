@@ -11,9 +11,10 @@ import (
 )
 
 // ManifestName is the file a checkpointed cache directory is committed
-// under. The manifest is written last, atomically: its presence means every
-// blob it lists was already durable, so it is the commit point of a
-// checkpoint (see DESIGN.md "Durability & crash recovery").
+// under. The manifest is written last, atomically, after every blob it lists
+// has been fsync'd: its presence means those blobs are durable, so it is the
+// commit point of a checkpoint (see DESIGN.md "Durability & crash
+// recovery").
 const ManifestName = "MANIFEST"
 
 // QuarantineSuffix is appended to a blob whose content no longer matches its
@@ -50,13 +51,16 @@ type Manifest struct {
 // ManifestVersion is the current manifest schema version.
 const ManifestVersion = 1
 
-// PersistManifest flushes every resident entry to dir (like Persist) and
-// then commits m — with m.Blobs filled from the written bytes — as
-// dir/MANIFEST via fsync'd temp file + rename, making the manifest a durable
-// commit point. Entry failures are non-fatal and aggregated exactly as in
-// Persist (failed entries are simply absent from m.Blobs); a manifest write
-// failure is fatal, since without the commitment the checkpoint must not be
-// trusted.
+// PersistManifest flushes every resident entry to dir (like Persist),
+// fsyncs every blob it lists that is not durable yet, and then commits m —
+// with m.Blobs filled from the blobs' bytes — as dir/MANIFEST via fsync'd
+// temp file + rename, making the manifest a durable commit point. A
+// dir-backed cache checkpointing into its own directory encodes and writes
+// only entries whose blob it has no checksum for, so a checkpoint after a
+// re-mine costs the dirty groups, not the whole cache. Entry failures are
+// non-fatal and aggregated exactly as in Persist (failed entries are simply
+// absent from m.Blobs); a manifest write failure is fatal, since without the
+// commitment the checkpoint must not be trusted.
 func (c *Cache) PersistManifest(dir string, m *Manifest) error {
 	sums, perr := c.persistEntries(dir, true)
 	m.Version = ManifestVersion

@@ -235,3 +235,146 @@ func TestPersistFlushesMemoryToDisk(t *testing.T) {
 		t.Fatal("self-persist rewrote a blob with different bytes")
 	}
 }
+
+// TestMemoSharedWithStoredCopy: a value derived on the entry handed to Put
+// is the stored copy's value too, and it is built once.
+func TestMemoSharedWithStoredCopy(t *testing.T) {
+	c := New(0)
+	e := entry(3)
+	if err := c.Put(key(1), e); err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	build := func(e *Entry) any { builds++; return len(e.Final) }
+	if v := e.Memo(build); v != 3 {
+		t.Fatalf("memo = %v, want 3", v)
+	}
+	got, _ := c.Get(key(1))
+	if v := got.Memo(build); v != 3 || builds != 1 {
+		t.Fatalf("stored copy's memo = %v after %d builds, want 3 after 1", v, builds)
+	}
+	if fresh := entry(3); fresh.Memo(build) != 3 || builds != 2 {
+		t.Fatal("an unrelated entry reused another entry's memo")
+	}
+}
+
+// TestEvictUnusedSinceKeepsWhatTheRunUsed: after Mark, only entries looked
+// up or stored stay resident; their blobs stay on disk.
+func TestEvictUnusedSinceKeepsWhatTheRunUsed(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := byte(1); i <= 4; i++ {
+		if err := c.Put(key(i), entry(int(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mark := c.Mark()
+	c.Get(key(2))
+	if err := c.Put(key(5), entry(5)); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.EvictUnusedSince(mark); n != 3 {
+		t.Fatalf("evicted %d entries, want 3", n)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("%d entries resident, want 2", c.Len())
+	}
+	hits := c.Stats().Hits
+	if _, ok := c.Get(key(1)); !ok || c.Stats().Hits != hits+1 {
+		t.Fatal("an evicted entry's blob did not survive on disk")
+	}
+}
+
+// TestEvictBlobsByManifestName drops exactly the named entries from memory.
+func TestEvictBlobsByManifestName(t *testing.T) {
+	c := New(0)
+	for i := byte(1); i <= 3; i++ {
+		if err := c.Put(key(i), entry(int(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.EvictBlobs([]string{key(2).filename(), "absent.gob"}); n != 1 {
+		t.Fatalf("evicted %d entries, want 1", n)
+	}
+	if _, ok := c.Get(key(2)); ok {
+		t.Fatal("named entry still resident")
+	}
+	if c.Len() != 2 {
+		t.Fatalf("%d entries resident, want 2", c.Len())
+	}
+}
+
+// TestCheckpointWritesOnlyNewBlobs: a dir-backed cache checkpointing into
+// its own directory leaves blobs Put already wrote in place (same file),
+// lists their checksums, and marks every listed blob durable.
+func TestCheckpointWritesOnlyNewBlobs(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := byte(1); i <= 3; i++ {
+		if err := c.Put(key(i), entry(int(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := map[string]os.FileInfo{}
+	for i := byte(1); i <= 3; i++ {
+		fi, err := os.Stat(filepath.Join(dir, key(i).filename()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[key(i).filename()] = fi
+	}
+	man := &Manifest{}
+	if err := c.PersistManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Blobs) != 3 {
+		t.Fatalf("manifest lists %d blobs, want 3", len(man.Blobs))
+	}
+	for name, sum := range man.Blobs {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(fi, before[name]) {
+			t.Fatalf("checkpoint rewrote %s", name)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hashHex(data) != sum {
+			t.Fatalf("manifest checksum of %s does not match its bytes", name)
+		}
+	}
+	c.mu.Lock()
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if le := el.Value.(*lruEntry); !le.synced {
+			t.Errorf("listed blob %s not fsync'd before the manifest commit", le.key.filename())
+		}
+	}
+	c.mu.Unlock()
+
+	// A blob deleted behind the cache's back is written afresh, not listed
+	// unchecked.
+	gone := key(2).filename()
+	if err := os.Remove(filepath.Join(dir, gone)); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	c.byKey[key(2)].Value.(*lruEntry).synced = false
+	c.mu.Unlock()
+	man = &Manifest{}
+	if err := c.PersistManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, gone))
+	if err != nil || hashHex(data) != man.Blobs[gone] {
+		t.Fatalf("deleted blob not restored under its checksum: %v", err)
+	}
+}
