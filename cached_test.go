@@ -146,26 +146,11 @@ func TestCachedSingleComponent(t *testing.T) {
 	}
 }
 
-// TestMinerFacade covers the public Miner bundle and nil-cache degradations.
+// TestMinerFacade covers the public cached entry point's nil-cache
+// degradation.
 func TestMinerFacade(t *testing.T) {
-	if _, err := cspm.NewMiner(cspm.Options{Shards: -1}, nil); err == nil {
-		t.Fatal("NewMiner accepted invalid options")
-	}
 	g, islands := cachedTestGraph(4)
 	want := cspm.MineWithOptions(g, cspm.Options{CollectStats: true})
-	miner, err := cspm.NewMiner(cspm.Options{CollectStats: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertShardedMatchesMine(t, "miner/cold", miner.Mine(g), want)
-	warm := miner.Mine(g)
-	assertShardedMatchesMine(t, "miner/warm", warm, want)
-	if warm.CacheHits != islands {
-		t.Fatalf("miner warm run hit %d groups, want %d", warm.CacheHits, islands)
-	}
-	if st := miner.Cache().Stats(); st.Hits == 0 || st.Entries != islands {
-		t.Fatalf("miner cache stats %+v look wrong for %d islands", st, islands)
-	}
 
 	// nil cache mines through a private ephemeral cache: same bit-identical
 	// contract (even on graphs where MineSharded would pick edge-cut), every

@@ -112,9 +112,11 @@ func MineWithOptions(g *Graph, opts Options) *Model {
 
 // MineSharded partitions g into shards mined concurrently and merges the
 // per-shard models with exact description-length accounting. Under the
-// default component strategy the result is bit-identical to Mine(g) while
-// wall time drops with shard parallelism; Options.Shards and
-// Options.ShardStrategy tune the partitioning.
+// default component strategy it mines one search per attribute-closed
+// component group — the same pipeline as MineShardedCached (with no cache)
+// and MineDistributed — and the result is bit-identical to Mine(g) while
+// wall time drops with shard parallelism; Options.Shards bounds the
+// concurrent searches and Options.ShardStrategy picks the partitioning.
 func MineSharded(g *Graph, opts Options) *Model {
 	return icspm.MineSharded(g, opts)
 }
@@ -127,8 +129,6 @@ type (
 	ShardCache = shardcache.Cache
 	// ShardCacheStats snapshots a cache's hit/miss/eviction counters.
 	ShardCacheStats = shardcache.Stats
-	// Miner bundles options with a ShardCache for repeated cached mining.
-	Miner = icspm.Miner
 	// ComponentFingerprint is the canonical content hash of one component
 	// group (or of the graph-global attribute context).
 	ComponentFingerprint = graph.Fingerprint
@@ -148,19 +148,13 @@ func OpenShardCache(capacity int, dir string) (*ShardCache, error) {
 // MineShardedCached mines g like MineSharded's component strategy but
 // replays component groups whose fingerprints hit in cache, re-mining only
 // dirty groups. The result is bit-identical to Mine(g) for every cache
-// state (with MineSharded's caveat that Options.MaxIterations caps each
-// group independently rather than globally); Model.CacheHits/CacheMisses
-// report what the run reused. A nil cache mines through a private
-// ephemeral cache — same results, no reuse across calls.
+// state, and to a sharded MineSharded run under every option
+// (Options.MaxIterations caps each group independently rather than
+// globally); Model.CacheHits/CacheMisses report what the run reused. A nil
+// cache mines through a private ephemeral cache — same results, no reuse
+// across calls.
 func MineShardedCached(g *Graph, opts Options, cache *ShardCache) *Model {
 	return icspm.MineShardedCached(g, opts, cache)
-}
-
-// NewMiner validates opts and returns a Miner whose Mine method runs
-// MineShardedCached over a persistent cache (nil = fresh unbounded
-// in-memory cache).
-func NewMiner(opts Options, cache *ShardCache) (*Miner, error) {
-	return icspm.NewMiner(opts, cache)
 }
 
 // Distributed mining: shard jobs fan out over a pluggable transport to
@@ -187,9 +181,11 @@ type (
 // MineDistributed mines g by fanning one shard job per attribute-closed
 // component group over a transport (nil = an in-process worker pool),
 // retrying failed attempts and falling back to local mining, so the result
-// is bit-identical to Mine(g) under any transport behaviour — or, with
-// NoFallback set, a typed *DistributedError. See DESIGN.md "Distributed
-// shard exchange".
+// is bit-identical to Mine(g) — and to a sharded MineSharded run and
+// MineShardedCached under every option — under any transport behaviour, or,
+// with NoFallback
+// set, a typed *DistributedError. See DESIGN.md "Distributed shard
+// exchange".
 func MineDistributed(g *Graph, opts DistributedOptions) (*Model, error) {
 	return icspm.MineDistributed(g, opts)
 }

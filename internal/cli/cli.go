@@ -54,9 +54,10 @@ type MineConfig struct {
 	Top       int
 	Stats     bool
 	MultiOnly bool
-	// Shards > 1 mines through cspm.MineSharded with that many shards;
-	// setting ShardStrategy to "components" or "edgecut" also opts into
-	// sharded mining (with an automatic shard count when Shards is 0).
+	// Shards > 1 mines through cspm.MineSharded with at most that many
+	// shards running at once (see cspm.Options.Shards); setting
+	// ShardStrategy to "components" or "edgecut" also opts into sharded
+	// mining (with an automatic bound when Shards is 0).
 	// Shards ≤ 1 with ShardStrategy empty or "auto" mines unsharded.
 	// Incompatible with MultiCore.
 	Shards        int

@@ -63,8 +63,10 @@ type IterationStat struct {
 	UpdateRatio   float64 // GainUpdates / PossiblePairs
 	Gain          float64 // realised DL reduction of the applied merge
 	TotalDL       float64 // DL after the merge
-	// Shard is the shard that applied the merge in a MineSharded run (0 in
-	// unsharded runs, -1 for the edge-cut refinement pass).
+	// Shard is the search that applied the merge: in a component-grained
+	// run, the index of its group among the groups the run mined
+	// in-process, in ascending group order; in an edge-cut run, the region
+	// (-1 for the refinement pass); 0 in unsharded runs.
 	Shard int
 	// Refinement marks merges applied by the sequential refinement pass of
 	// the edge-cut strategy; their summed Gain is Model.RefinementGain.
@@ -84,19 +86,23 @@ type Model struct {
 	PerIter     []IterationStat
 	CondEntropy float64
 
-	// ShardCount is the number of shard searches the run executed: the
-	// concurrent shard count of a MineSharded run, or the number of dirty
-	// component groups a MineShardedCached run re-mined (0 when every group
-	// replayed from cache — check CacheHits to tell that apart from an
-	// unsharded run, which reports 0 on all three cache counters).
+	// ShardCount is the number of shard searches the run executed. In a
+	// component-grained run (MineSharded's component strategy,
+	// MineShardedCached, MineDistributed) that is one per group mined,
+	// locally or remotely: every group without a cache, the dirty groups
+	// with one (0 when every group replayed — check CacheHits to tell that
+	// apart from an unsharded run, which reports 0 on all three cache
+	// counters). An edge-cut run reports its region count and an unsharded
+	// MineSharded run 1.
 	ShardCount int
 	// RefinementGain is the DL reduction realised by the sequential
 	// refinement pass of the edge-cut shard strategy (0 elsewhere).
 	RefinementGain float64
 
-	// CacheHits/CacheMisses count the component groups a MineShardedCached
-	// run replayed from, respectively re-mined into, its shard cache (both 0
-	// in uncached runs). CacheEvictions counts cache entries the run's
+	// CacheHits/CacheMisses count the component groups a cached run
+	// (MineShardedCached, or MineDistributed with a Cache) replayed from,
+	// respectively re-mined into, its shard cache (all three counters are 0
+	// when no cache is given). CacheEvictions counts cache entries the run's
 	// stores pushed out of memory.
 	CacheHits      int
 	CacheMisses    int

@@ -3,11 +3,9 @@ package cspm
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"runtime"
 	"time"
 
 	"cspm/internal/graph"
-	"cspm/internal/mdl"
 	"cspm/internal/shardcache"
 )
 
@@ -59,15 +57,18 @@ func searchFingerprint(opts Options) graph.Fingerprint {
 // all reported description lengths are pure functions of the per-group line
 // multisets the cache stores (see DESIGN.md "Shard-result cache").
 //
-// Options.Shards bounds how many dirty groups mine concurrently (0 = all
-// cores) and Options.Workers is the total evaluation budget, exactly as in
-// MineSharded. Options.MaxIterations caps each group's merges independently
-// — like MineSharded and unlike Mine's single global cap, so capped runs
-// match MineSharded, not Mine. Options.ShardStrategy is ignored: cached
-// mining is always component-grained (the edge-cut strategy has no stable
-// per-group unit to key). A nil cache mines through a private ephemeral
-// cache, so the result contract is identical — only the reuse is lost. It
-// panics if opts fails Validate.
+// It runs the same group pipeline as MineSharded's component strategy and
+// MineDistributed, with the same semantics: Options.Shards bounds how many
+// dirty groups mine concurrently (0 = all cores) and Options.Workers is the
+// total evaluation budget. Options.MaxIterations caps each group's merges
+// independently — unlike Mine's single global cap, so capped runs match
+// MineSharded, not Mine. Model.ShardCount is the number of groups re-mined
+// (0 when every group replayed), and Iterations and GainEvals cover replayed
+// groups too. Options.ShardStrategy is ignored: cached mining is always
+// component-grained (the edge-cut strategy has no stable per-group unit to
+// key). A nil cache mines through a private ephemeral cache, so the result
+// contract is identical — only the reuse is lost. It panics if opts fails
+// Validate.
 func MineShardedCached(g *graph.Graph, opts Options, cache *shardcache.Cache) *Model {
 	return MineShardedCachedObserved(g, opts, cache, nil)
 }
@@ -82,105 +83,6 @@ func MineShardedCachedObserved(g *graph.Graph, opts Options, cache *shardcache.C
 	if cache == nil {
 		cache = shardcache.New(0)
 	}
-	t := time.Now()
-	groups := graph.AttrClosedComponents(g)
-	fps := groups.Fingerprints(g)
-	global := graph.GlobalFingerprint(g)
-	search := searchFingerprint(opts)
-	observe.observe("fingerprint", t)
-	st := mdl.NewStandardTable(g)
-	members := groups.Members()
-
-	t = time.Now()
-	entries := make([]*shardcache.Entry, groups.Count)
-	fresh := make([]bool, groups.Count)
-	var dirty []int
-	for gi := 0; gi < groups.Count; gi++ {
-		if e, ok := cache.Get(shardcache.Key{Component: fps[gi], Global: global, Search: search}); ok {
-			entries[gi] = e
-		} else {
-			fresh[gi] = true
-			dirty = append(dirty, gi)
-		}
-	}
-	observe.observe("diff", t)
-
-	evBefore := cache.Stats().Evictions
-	shards := make([]*shardRun, len(dirty))
-	t = time.Now()
-	if len(dirty) > 0 {
-		// Entries must always carry the run diagnostics (a warm replay still
-		// reports Iterations), so dirty runs collect stats unconditionally;
-		// PerIter is surfaced only when the caller asked.
-		runOpts := opts
-		runOpts.CollectStats = true
-		for i, gi := range dirty {
-			shards[i] = &shardRun{verts: members[gi]}
-		}
-		k := opts.Shards
-		if k == 0 {
-			k = runtime.GOMAXPROCS(0)
-		}
-		runShards(g, st, runOpts, shards, k)
-		for i, gi := range dirty {
-			sh := shards[i]
-			e := newEntry(sh.init, sh.final, sh.stats)
-			// A failed disk write only loses persistence (the in-memory copy
-			// is already stored); mining correctness is unaffected.
-			_ = cache.Put(shardcache.Key{Component: fps[gi], Global: global, Search: search}, e)
-			entries[gi] = e
-		}
-	}
-	observe.observe("shard_mine", t)
-
-	t = time.Now()
-	m := &Model{Vocab: g.Vocab(), ShardCount: len(dirty)}
-	m.CacheHits = groups.Count - len(dirty)
-	m.CacheMisses = len(dirty)
-	m.CacheEvictions = int(cache.Stats().Evictions - evBefore)
-	for gi, e := range entries {
-		if !fresh[gi] {
-			// Replayed groups contribute their recorded diagnostics; fresh
-			// runs contribute theirs through appendShardStats below.
-			m.Iterations += e.Iterations
-			m.GainEvals += e.GainEvals
-		}
-	}
-	for i := range shards {
-		if !opts.CollectStats {
-			shards[i].stats.perIter = nil
-		}
-		appendShardStats(m, shards[i].stats, i, false)
-	}
-	mergeEntryStats(m, st, entries)
-	observe.observe("merge", t)
+	m, _ := mineGroups(g, DistributedOptions{Options: opts, Cache: cache}, false, observe) // local runs cannot fail
 	return m
 }
-
-// Miner bundles mining options with a shard-result cache for repeated runs
-// over evolving graphs: each Mine call re-mines only the component groups
-// whose content changed since the cache last saw them.
-type Miner struct {
-	opts  Options
-	cache *shardcache.Cache
-}
-
-// NewMiner validates opts and returns a Miner backed by cache (nil = a fresh
-// unbounded in-memory cache).
-func NewMiner(opts Options, cache *shardcache.Cache) (*Miner, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if cache == nil {
-		cache = shardcache.New(0)
-	}
-	return &Miner{opts: opts, cache: cache}, nil
-}
-
-// Mine runs MineShardedCached over the miner's cache.
-func (mi *Miner) Mine(g *graph.Graph) *Model {
-	return MineShardedCached(g, mi.opts, mi.cache)
-}
-
-// Cache exposes the miner's shard-result cache (for stats and invalidation).
-func (mi *Miner) Cache() *shardcache.Cache { return mi.cache }

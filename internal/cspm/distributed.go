@@ -3,7 +3,6 @@ package cspm
 import (
 	"crypto/sha256"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -178,91 +177,19 @@ func buildShardJob(g *graph.Graph, stFreqs []int, opts Options, id uint64, verts
 // delivers a result twice (a retry racing its late original) cannot
 // double-count a group in the merge.
 //
-// Options.MaxIterations caps each group's merges independently (the
-// MineSharded/MineShardedCached semantics, not Mine's global cap) and
-// per-iteration traces (Model.PerIter) are not collected — entries carry
-// only the iteration totals. Like MineShardedCached, mining is always
+// It runs the same group pipeline as MineSharded's component strategy and
+// MineShardedCached, with the same semantics: Options.MaxIterations caps
+// each group's merges independently, Model.ShardCount is the number of
+// groups mined (the jobs dispatched), Iterations and GainEvals are always
+// reported, and the cache counters stay 0 unless opts.Cache is set. PerIter
+// traces only the groups that fell back to local mining — remote entries
+// carry only their totals. Like MineShardedCached, mining is always
 // component-grained; Options.ShardStrategy is ignored.
 func MineDistributed(g *graph.Graph, opts DistributedOptions) (*Model, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	groups := graph.AttrClosedComponents(g)
-	members := groups.Members()
-	st := mdl.NewStandardTable(g)
-	stFreqs := st.Freqs()
-	m := &Model{Vocab: g.Vocab()}
-
-	// Cache consult: hits are finished groups before any job is built.
-	entries := make([]*shardcache.Entry, groups.Count)
-	var keys []shardcache.Key
-	var evBefore uint64
-	if opts.Cache != nil {
-		evBefore = opts.Cache.Stats().Evictions
-		fps := groups.Fingerprints(g)
-		global := graph.GlobalFingerprint(g)
-		search := searchFingerprint(opts.Options)
-		keys = make([]shardcache.Key, groups.Count)
-		for gi := range keys {
-			keys[gi] = shardcache.Key{Component: fps[gi], Global: global, Search: search}
-			if e, ok := opts.Cache.Get(keys[gi]); ok {
-				entries[gi] = e
-				m.CacheHits++
-			}
-		}
-	}
-	var jobGroups []int
-	for gi := 0; gi < groups.Count; gi++ {
-		if entries[gi] == nil {
-			jobGroups = append(jobGroups, gi)
-		}
-	}
-	if opts.Cache != nil {
-		m.CacheMisses = len(jobGroups)
-	}
-	m.ShardCount = len(jobGroups)
-	m.RemoteJobs = len(jobGroups)
-
-	fallbackOpts := opts.Options
-	transport := opts.Transport
-	if transport == nil && len(jobGroups) > 0 {
-		k := opts.Shards
-		if k == 0 {
-			k = runtime.GOMAXPROCS(0)
-		}
-		pool := min(k, len(jobGroups))
-		lb := shardrpc.NewLoopback(ExecuteShardJob, pool)
-		defer lb.Close()
-		transport = lb
-		// The in-process pool shares the coordinator's cores, so split the
-		// evaluation budget across the concurrent jobs the way runShards
-		// splits it — each job's Workers is its own evaluator count, and
-		// results are bit-identical for any value. Remote transports keep
-		// the unsplit budget: their workers' cores are not ours.
-		opts.Workers = max(1, opts.workerCount()/pool)
-	}
-
-	failed := collectRemote(transport, g, stFreqs, opts, jobGroups, members, entries, m)
-	if len(failed) > 0 {
-		if opts.NoFallback {
-			return nil, &DistributedError{Jobs: failed}
-		}
-		mineFallback(g, st, fallbackOpts, failed, members, entries, m)
-	}
-	if opts.Cache != nil {
-		for _, gi := range jobGroups {
-			// A failed disk write only loses persistence; mining
-			// correctness is unaffected (same contract as the cached miner).
-			_ = opts.Cache.Put(keys[gi], entries[gi])
-		}
-		m.CacheEvictions = int(opts.Cache.Stats().Evictions - evBefore)
-	}
-	for _, e := range entries {
-		m.Iterations += e.Iterations
-		m.GainEvals += e.GainEvals
-	}
-	mergeEntryStats(m, st, entries)
-	return m, nil
+	return mineGroups(g, opts, true, nil)
 }
 
 // pendingJob tracks one dispatched shard job through its attempts.
@@ -423,26 +350,4 @@ func collectRemote(t shardrpc.Transport, g *graph.Graph, stFreqs []int, opts Dis
 		}
 	}
 	return failed
-}
-
-// mineFallback mines the failed groups in-process — the exact dirty-group
-// path of the cached miner, so a fallback entry is indistinguishable from
-// the remote entry that never arrived.
-func mineFallback(g *graph.Graph, st *mdl.StandardTable, opts Options, failed []FailedJob, members [][]graph.VertexID, entries []*shardcache.Entry, m *Model) {
-	runOpts := opts
-	runOpts.CollectStats = true
-	shards := make([]*shardRun, len(failed))
-	for i, f := range failed {
-		shards[i] = &shardRun{verts: members[f.Group]}
-	}
-	k := opts.Shards
-	if k == 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	runShards(g, st, runOpts, shards, k)
-	for i, f := range failed {
-		sh := shards[i]
-		entries[f.Group] = newEntry(sh.init, sh.final, sh.stats)
-	}
-	m.LocalFallbacks = len(failed)
 }

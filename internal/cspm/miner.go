@@ -57,14 +57,17 @@ type Options struct {
 	// bit-identical regardless of the worker count. MineSharded treats
 	// Workers as the TOTAL budget and splits it across shards.
 	Workers int
-	// Shards is the shard count for MineSharded: 0 (the default) mines one
-	// shard per independent vertex group, capped at GOMAXPROCS; 1
-	// degenerates to the unsharded search; negative values are rejected by
-	// Validate. Mine, MineWithOptions and MineDB ignore it. Under the
-	// component strategy results are identical for every shard count; under
-	// the edge-cut fallback the cut — and so the mined model — depends on
-	// the count, so pin Shards explicitly when edge-cut output must be
-	// reproducible across machines (0 resolves to GOMAXPROCS there).
+	// Shards bounds the sharded entry points. MineSharded's component
+	// strategy, MineShardedCached and MineDistributed mine one search per
+	// attribute-closed component group and run at most Shards of them at
+	// once (MineDistributed's in-process pool holds that many workers); the
+	// edge-cut strategy cuts the graph into Shards regions. 0 (the default)
+	// resolves to GOMAXPROCS; 1 makes MineSharded degenerate to the
+	// unsharded search; negative values are rejected by Validate. Mine,
+	// MineWithOptions and MineDB ignore it. Component-grained results are
+	// identical for every value; under the edge-cut fallback the cut — and
+	// so the mined model — depends on it, so pin Shards explicitly when
+	// edge-cut output must be reproducible across machines.
 	Shards int
 	// ShardStrategy selects how MineSharded partitions the graph; see the
 	// ShardStrategy constants. Ignored outside MineSharded.
@@ -92,6 +95,15 @@ func (o Options) Validate() error {
 func (o Options) workerCount() int {
 	if o.Workers > 0 {
 		return o.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// shardBound resolves Options.Shards: 0 means one concurrent shard search
+// per core.
+func (o Options) shardBound() int {
+	if o.Shards > 0 {
+		return o.Shards
 	}
 	return runtime.GOMAXPROCS(0)
 }
